@@ -1,12 +1,11 @@
 //! Parallel-search benchmark: runs table1-scale NeuroShard searches at 1,
-//! 2, 4 and 8 worker threads plus an unbatched (row-at-a-time inference)
-//! baseline, verifying that every configuration returns bit-identical
-//! plans, and writes the timings to `BENCH_search.json`.
+//! 2, 4 and 8 worker threads, verifying that every thread count returns
+//! bit-identical plans, plus uncached and int8 rows, and writes the
+//! timings to `BENCH_search.json`.
 //!
 //! Thread scaling is bounded by the host: the JSON records
-//! `hardware_threads` so flat curves on small containers are explainable.
-//! The batched-vs-unbatched speedup is hardware-independent and is the
-//! headline number on single-CPU hosts.
+//! `hardware_threads` and the CPU model so flat curves on small
+//! containers are explainable.
 //!
 //! Usage:
 //! `bench_search [--tasks 6] [--tables-min 10] [--tables-max 60]
@@ -40,25 +39,15 @@ struct Output {
     /// Logical CPUs visible to this process — thread scaling is bounded
     /// above by this number.
     hardware_threads: usize,
+    /// CPU model of the recording host (`/proc/cpuinfo`), or `unknown`.
+    cpu_model: String,
     tasks: usize,
     num_gpus: usize,
     search: NeuroShardConfig,
     rows: Vec<ThreadRow>,
-    /// Same workload with `use_batch: false` (one single-row MLP forward
-    /// per prediction) at 1 thread — the pre-batching engine.
-    unbatched: ThreadRow,
-    /// Wall-clock of the unbatched engine over the batched engine at
-    /// 1 thread. Hardware-independent. With the cache on, most queries
-    /// never reach the model, so this is near 1.
-    batched_speedup_vs_unbatched: f64,
-    /// Batched engine with the prediction cache disabled — every query
-    /// reaches the model, isolating the inference cost.
-    nocache_batched: ThreadRow,
-    /// Unbatched engine with the cache disabled.
-    nocache_unbatched: ThreadRow,
-    /// Wall-clock of the uncached unbatched engine over the uncached
-    /// batched engine — the batching speedup on model-bound search.
-    batched_speedup_vs_unbatched_nocache: f64,
+    /// The prediction cache disabled at 1 thread — every query reaches
+    /// the model, isolating the inference cost.
+    nocache: ThreadRow,
     /// Same workload with `use_int8: true` (quantized cost-model
     /// inference) at 1 thread. Approximate by design, so it is *not* part
     /// of the plan-identity checks; instead its plans must be
@@ -69,16 +58,23 @@ struct Output {
     int8_max_cost_ratio_vs_f32: f64,
     /// The conformance band the ratio is checked against.
     int8_cost_band: f64,
-    /// True iff every thread count and the unbatched engine returned the
-    /// same plan and bit-identical cost for every task (at the default
-    /// cached configuration).
+    /// True iff every thread count returned the same plan and
+    /// bit-identical cost for every task (at the default cached
+    /// configuration).
     plans_identical: bool,
-    /// True iff the two uncached engines agree with each other. They are
-    /// *not* compared against the cached runs: the cache canonicalizes
-    /// costs (the first computed value is reused for every permutation of
-    /// a table set), while uncached recomputation sum-pools in per-call
-    /// order — an ablation, not a determinism bug.
-    plans_identical_nocache: bool,
+}
+
+/// The CPU model line of `/proc/cpuinfo`, or `unknown` off Linux.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 fn run(
@@ -163,22 +159,8 @@ fn main() {
         rows.push(row(threads, wall, &outcomes, base_wall));
     }
 
-    eprintln!("searching {tasks_n} tasks with batching disabled...");
-    let (wall, outcomes) = run(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            use_batch: false,
-            ..search
-        },
-        &tasks,
-    );
-    identical &= same_plans(&base_outcomes, &outcomes);
-    let unbatched = row(1, wall, &outcomes, base_wall);
-    let batched_speedup = unbatched.wall_clock_s / base_wall.max(1e-9);
-
-    eprintln!("searching {tasks_n} tasks with the cache disabled (batched)...");
-    let (nocache_b_wall, outcomes) = run(
+    eprintln!("searching {tasks_n} tasks with the cache disabled...");
+    let (nocache_wall, outcomes) = run(
         &bundle,
         NeuroShardConfig {
             threads: 1,
@@ -187,23 +169,7 @@ fn main() {
         },
         &tasks,
     );
-    let nocache_b_outcomes = outcomes;
-    let nocache_batched = row(1, nocache_b_wall, &nocache_b_outcomes, base_wall);
-
-    eprintln!("searching {tasks_n} tasks with the cache disabled (unbatched)...");
-    let (nocache_u_wall, outcomes) = run(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            use_cache: false,
-            use_batch: false,
-            ..search
-        },
-        &tasks,
-    );
-    let identical_nocache = same_plans(&nocache_b_outcomes, &outcomes);
-    let nocache_unbatched = row(1, nocache_u_wall, &outcomes, base_wall);
-    let nocache_batched_speedup = nocache_u_wall / nocache_b_wall.max(1e-9);
+    let nocache = row(1, nocache_wall, &outcomes, base_wall);
 
     eprintln!("searching {tasks_n} tasks with int8 inference...");
     let (int8_wall, int8_outcomes) = run(
@@ -237,32 +203,28 @@ fn main() {
 
     let output = Output {
         hardware_threads: std::thread::available_parallelism().map_or(1, usize::from),
+        cpu_model: cpu_model(),
         tasks: tasks_n,
         num_gpus,
         search,
         rows,
-        unbatched,
-        batched_speedup_vs_unbatched: batched_speedup,
-        nocache_batched,
-        nocache_unbatched,
-        batched_speedup_vs_unbatched_nocache: nocache_batched_speedup,
+        nocache,
         int8,
         int8_max_cost_ratio_vs_f32: int8_max_ratio,
         int8_cost_band: INT8_COST_BAND,
         plans_identical: identical,
-        plans_identical_nocache: identical_nocache,
     };
 
     println!(
-        "\n# Parallel search, {} tasks, {} GPUs, {} hardware thread(s)\n",
-        tasks_n, num_gpus, output.hardware_threads
+        "\n# Parallel search, {} tasks, {} GPUs, {} hardware thread(s), {}\n",
+        tasks_n, num_gpus, output.hardware_threads, output.cpu_model
     );
     let mut table: Vec<Vec<String>> = output
         .rows
         .iter()
         .map(|r| {
             vec![
-                format!("batched, {} thread(s)", r.threads),
+                format!("{} thread(s)", r.threads),
                 format!("{:.2}", r.wall_clock_s),
                 format!("{:.0}", r.plans_per_s),
                 format!("{:.1}%", r.cache_hit_rate * 100.0),
@@ -271,9 +233,7 @@ fn main() {
         })
         .collect();
     for (name, r) in [
-        ("unbatched, 1 thread", &output.unbatched),
-        ("batched, no cache", &output.nocache_batched),
-        ("unbatched, no cache", &output.nocache_unbatched),
+        ("no cache, 1 thread", &output.nocache),
         ("int8, 1 thread", &output.int8),
     ] {
         table.push(vec![
@@ -288,20 +248,12 @@ fn main() {
         &["engine", "wall clock (s)", "plans/s", "hit rate", "speedup"],
         &table,
     );
-    println!(
-        "\nbatched vs unbatched speedup: {batched_speedup:.2}x cached, \
-         {nocache_batched_speedup:.2}x uncached; plans identical: {identical} \
-         (uncached pair: {identical_nocache})"
-    );
+    println!("\nplans identical across thread counts: {identical}");
     println!(
         "int8 engine: worst f32-evaluated cost ratio {int8_max_ratio:.4} \
          (band {INT8_COST_BAND})"
     );
-    assert!(identical, "plans must not depend on threads or batching");
-    assert!(
-        identical_nocache,
-        "uncached plans must not depend on batching"
-    );
+    assert!(identical, "plans must not depend on the thread count");
     assert!(
         int8_max_ratio <= INT8_COST_BAND,
         "int8 plan cost ratio {int8_max_ratio} exceeds the band {INT8_COST_BAND}"

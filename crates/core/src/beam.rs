@@ -16,7 +16,7 @@ use nshard_sim::TableProfile;
 
 use crate::greedy_grid::{GreedyGridSearch, GridSearchResult};
 use crate::plan::{apply_split_plan, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep};
-use crate::pool::WorkPool;
+use crate::WorkPool;
 
 /// Score offset for memory-infeasible beam entries: far above any real
 /// cost (ms), with the plan's largest shard size (bytes) added so that
@@ -70,7 +70,7 @@ pub struct BeamSearch<'a> {
     /// split across them).
     replication: bool,
     /// Worker threads for level evaluation; `0` = auto (see
-    /// [`crate::pool::resolve_threads`]).
+    /// [`crate::resolve_threads`]).
     threads: usize,
 }
 
@@ -174,12 +174,10 @@ impl<'a> BeamSearch<'a> {
         let mut phase_stats = SearchPhaseStats::default();
         let mut evaluated = 0usize;
 
-        // Heterogeneous-fleet context, shared by every inner search of this
-        // run. `scales` is `None` on uniform fleets, which keeps the whole
-        // search on the bit-exact homogeneous path.
+        // The fleet every inner search of this run prices on: the task's
+        // device pool, or exact-1.0 scales on a uniform cluster.
         let budgets = task.budgets();
-        let scales = task.device_pool().and_then(DeviceScales::from_pool);
-        let scales = scales.as_ref();
+        let scales = DeviceScales::of_task(task);
 
         // The root plan: empty, except when row-wise sharding is on —
         // then a deterministic presplit pass first row-halves any table
@@ -197,13 +195,9 @@ impl<'a> BeamSearch<'a> {
         let mut best: Option<(SplitPlan, f64, Vec<usize>)> = None;
         evaluated += 1;
         let before = cache.stats();
-        if let Ok(result) = inner.search_with_devices(
-            &root_tables,
-            task.num_devices(),
-            &budgets,
-            scales,
-            task.batch_size(),
-        ) {
+        if let Ok(result) =
+            inner.search_with_devices(&root_tables, &budgets, &scales, task.batch_size())
+        {
             best = Some((root.clone(), result.estimated_cost_ms, result.device_of));
         }
         phase_stats.inner.absorb(&cache.stats().since(&before));
@@ -242,13 +236,7 @@ impl<'a> BeamSearch<'a> {
             let before = cache.stats();
             let results: Vec<Result<GridSearchResult, PlanError>> =
                 pool.map(&jobs, |(_, sharded)| {
-                    inner_serial.search_with_devices(
-                        sharded,
-                        task.num_devices(),
-                        &budgets,
-                        scales,
-                        task.batch_size(),
-                    )
+                    inner_serial.search_with_devices(sharded, &budgets, &scales, task.batch_size())
                 });
             phase_stats.inner.absorb(&cache.stats().since(&before));
 

@@ -26,7 +26,7 @@ use nshard_data::TableConfig;
 use nshard_sim::TableProfile;
 
 use crate::plan::PlanError;
-use crate::pool::WorkPool;
+use crate::WorkPool;
 
 /// Result of one inner-loop search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ pub struct GreedyGridSearch<'a> {
     /// grid search" ablation of Table 3.
     use_grid: bool,
     /// Worker threads for the grid sweep; `0` = auto (see
-    /// [`crate::pool::resolve_threads`]).
+    /// [`crate::resolve_threads`]).
     threads: usize,
 }
 
@@ -81,12 +81,14 @@ impl<'a> GreedyGridSearch<'a> {
     }
 
     /// Searches for the best table-wise plan of `tables` (already
-    /// column-wise sharded) on `num_devices` devices.
+    /// column-wise sharded) on `num_devices` uniform devices with
+    /// `mem_budget_bytes` each.
     ///
     /// # Errors
     ///
-    /// [`PlanError::Infeasible`] when even the unconstrained greedy pass
-    /// cannot satisfy the memory budget.
+    /// [`PlanError::Invalid`] for zero devices; [`PlanError::Infeasible`]
+    /// when even the unconstrained greedy pass cannot satisfy the memory
+    /// budget.
     pub fn search(
         &self,
         tables: &[TableConfig],
@@ -94,35 +96,34 @@ impl<'a> GreedyGridSearch<'a> {
         mem_budget_bytes: u64,
         batch_size: u32,
     ) -> Result<GridSearchResult, PlanError> {
-        let budgets = vec![mem_budget_bytes; num_devices];
-        self.search_with_devices(tables, num_devices, &budgets, None, batch_size)
-    }
-
-    /// Heterogeneous-fleet variant of [`Self::search`]: per-device memory
-    /// budgets, and optional per-device compute/bandwidth scales applied to
-    /// every prediction during allocation and scoring.
-    ///
-    /// With uniform budgets and no scales this is **bit-identical** to
-    /// [`Self::search`] (the homogeneous path multiplies and divides by
-    /// exact `1.0`s, which are bitwise identities for finite floats).
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::Infeasible`] when even the unconstrained greedy pass
-    /// cannot satisfy the per-device memory budgets.
-    pub fn search_with_devices(
-        &self,
-        tables: &[TableConfig],
-        num_devices: usize,
-        budgets: &[u64],
-        scales: Option<&DeviceScales>,
-        batch_size: u32,
-    ) -> Result<GridSearchResult, PlanError> {
         if num_devices == 0 {
             return Err(PlanError::Invalid {
                 reason: "need at least one device".into(),
             });
         }
+        let budgets = vec![mem_budget_bytes; num_devices];
+        let scales = DeviceScales::uniform(num_devices);
+        self.search_with_devices(tables, &budgets, &scales, batch_size)
+    }
+
+    /// Searches on the devices `scales` describes: per-device memory
+    /// budgets, and per-device compute/bandwidth scales applied to every
+    /// prediction during allocation and scoring. A uniform fleet's scales
+    /// are exact `1.0`s, which are bitwise identities for finite floats.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::Invalid`] when `budgets` and `scales` cover different
+    /// device counts; [`PlanError::Infeasible`] when even the unconstrained
+    /// greedy pass cannot satisfy the per-device memory budgets.
+    pub fn search_with_devices(
+        &self,
+        tables: &[TableConfig],
+        budgets: &[u64],
+        scales: &DeviceScales,
+        batch_size: u32,
+    ) -> Result<GridSearchResult, PlanError> {
+        let num_devices = scales.len();
         if budgets.len() != num_devices {
             return Err(PlanError::Invalid {
                 reason: format!(
@@ -130,13 +131,6 @@ impl<'a> GreedyGridSearch<'a> {
                     budgets.len()
                 ),
             });
-        }
-        if let Some(s) = scales {
-            if s.len() != num_devices {
-                return Err(PlanError::Invalid {
-                    reason: format!("{} device scales for {num_devices} devices", s.len()),
-                });
-            }
         }
         let profiles: Vec<TableProfile> = tables.iter().map(|t| t.profile(batch_size)).collect();
 
@@ -170,10 +164,7 @@ impl<'a> GreedyGridSearch<'a> {
         // the unconstrained fallback. On homogeneous fleets this reduces
         // exactly to total_dim / num_devices.
         let total_dim: f64 = profiles.iter().map(TableProfile::comm_dim).sum();
-        let total_bw: f64 = match scales {
-            Some(s) => (0..num_devices).map(|g| s.bandwidth_scale(g)).sum(),
-            None => (0..num_devices).map(|_| 1.0).sum(),
-        };
+        let total_bw: f64 = (0..num_devices).map(|g| scales.bandwidth_scale(g)).sum();
         let m_s = total_dim / total_bw;
         let m_e = 1.5 * m_s;
         let mut thresholds: Vec<Option<f64>> = Vec::with_capacity(self.m_steps + 1);
@@ -215,7 +206,7 @@ impl<'a> GreedyGridSearch<'a> {
                 assignment
             })
             .collect();
-        let estimates = self.sim.estimate_plan_batch_scaled(&assignments, scales);
+        let estimates = self.sim.estimate_plan_batch(&assignments, scales);
 
         let mut best: Option<GridSearchResult> = None;
         for ((threshold, device_of), est) in feasible.into_iter().zip(estimates) {
@@ -253,7 +244,7 @@ impl<'a> GreedyGridSearch<'a> {
         order: &[usize],
         num_devices: usize,
         budgets: &[u64],
-        scales: Option<&DeviceScales>,
+        scales: &DeviceScales,
         max_dim: Option<f64>,
     ) -> Option<Vec<usize>> {
         let mut device_tables: Vec<Vec<TableProfile>> = vec![Vec::new(); num_devices];
@@ -269,10 +260,7 @@ impl<'a> GreedyGridSearch<'a> {
         // Effective dimension of a table on device `g`: its traffic share,
         // inflated by the device's link slowness. On homogeneous fleets
         // both factors are exact 1.0s, so this is bitwise `dim`.
-        let eff_dim = |p: &TableProfile, g: usize| match scales {
-            Some(s) => p.comm_dim() / s.bandwidth_scale(g),
-            None => p.comm_dim(),
-        };
+        let eff_dim = |p: &TableProfile, g: usize| p.comm_dim() / scales.bandwidth_scale(g);
 
         for &i in order {
             let p = &profiles[i];
@@ -298,10 +286,7 @@ impl<'a> GreedyGridSearch<'a> {
             );
             let mut best_dev: Option<(usize, f64)> = None;
             for (&g, &cost) in feasible.iter().zip(&costs) {
-                let cost = match scales {
-                    Some(s) => cost * s.compute_scale(g),
-                    None => cost,
-                };
+                let cost = cost * scales.compute_scale(g);
                 if best_dev.is_none_or(|(_, c)| cost < c) {
                     best_dev = Some((g, cost));
                 }
@@ -454,29 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_device_context_is_bit_identical_to_scalar_search() {
-        let sim = sim(2);
-        let tables: Vec<TableConfig> = (0..10)
-            .map(|i| t(i, if i % 3 == 0 { 128 } else { 32 }))
-            .collect();
-        let search = GreedyGridSearch::new(&sim, 7);
-        let scalar = search
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
-        let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
-        let unit = DeviceScales::new(vec![1.0; 2], vec![1.0; 2]);
-        let scaled = search
-            .search_with_devices(&tables, 2, &budgets, Some(&unit), 65_536)
-            .unwrap();
-        assert_eq!(scaled.device_of, scalar.device_of);
-        assert_eq!(
-            scaled.estimated_cost_ms.to_bits(),
-            scalar.estimated_cost_ms.to_bits()
-        );
-        assert_eq!(scaled.max_dim_used, scalar.max_dim_used);
-    }
-
-    #[test]
     fn per_device_budgets_steer_big_tables() {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 3);
@@ -486,7 +448,7 @@ mod tests {
             .collect();
         let budgets = [1 << 30, 1];
         let result = search
-            .search_with_devices(&tables, 2, &budgets, None, 1024)
+            .search_with_devices(&tables, &budgets, &DeviceScales::uniform(2), 1024)
             .unwrap();
         assert_eq!(result.device_of, vec![0, 0]);
     }
@@ -501,7 +463,7 @@ mod tests {
         // strictly more heavily than device 1.
         let slow = DeviceScales::new(vec![1.0, 100.0], vec![1.0, 1.0]);
         let result = search
-            .search_with_devices(&tables, 2, &budgets, Some(&slow), 65_536)
+            .search_with_devices(&tables, &budgets, &slow, 65_536)
             .unwrap();
         let on_fast = result.device_of.iter().filter(|&&d| d == 0).count();
         let on_slow = tables.len() - on_fast;
@@ -517,7 +479,7 @@ mod tests {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 3);
         assert!(matches!(
-            search.search_with_devices(&[t(0, 8)], 2, &[1 << 30], None, 1024),
+            search.search_with_devices(&[t(0, 8)], &[1 << 30], &DeviceScales::uniform(2), 1024),
             Err(PlanError::Invalid { .. })
         ));
     }

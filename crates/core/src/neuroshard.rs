@@ -42,10 +42,6 @@ pub struct NeuroShardConfig {
     /// configs from earlier versions load unchanged.
     #[serde(default)]
     pub use_replication: bool,
-    /// `false` disables batched MLP inference (one single-row forward per
-    /// query — the pre-batching engine, kept as a benchmark baseline).
-    /// Plans and costs are bit-identical either way.
-    pub use_batch: bool,
     /// `true` runs cost-model inference through int8-quantized weights
     /// (faster, approximate; see [`nshard_cost::InferenceMode`]). Default
     /// `false` keeps the bit-exact f32 path.
@@ -68,7 +64,6 @@ impl Default for NeuroShardConfig {
             use_cache: true,
             use_row_wise: false,
             use_replication: false,
-            use_batch: true,
             use_int8: false,
             threads: 0,
         }
@@ -199,9 +194,6 @@ impl NeuroShard {
         let mut sim = CostSimulator::new(bundle);
         if !config.use_cache {
             sim = sim.with_cache_disabled();
-        }
-        if !config.use_batch {
-            sim = sim.with_batching_disabled();
         }
         if config.use_int8 {
             sim = sim.with_inference_mode(nshard_cost::InferenceMode::Int8);

@@ -24,7 +24,7 @@ use nshard_data::ShardingTask;
 use nshard_sim::TableProfile;
 
 use crate::plan::{PlanError, ShardingPlan, SplitStep};
-use crate::pool::WorkPool;
+use crate::WorkPool;
 
 /// Limits of the repair loop.
 #[derive(Debug, Clone, Copy, PartialEq)]

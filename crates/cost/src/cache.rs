@@ -27,8 +27,8 @@ use serde::{Deserialize, Serialize};
 use nshard_sim::TableProfile;
 
 /// A pass-through [`Hasher`] for keys that are already avalanche-mixed
-/// 64-bit fingerprints (every key in this crate goes through
-/// [`avalanche`]). Re-hashing such keys with SipHash is pure overhead on
+/// 64-bit fingerprints (every key in this crate goes through a final
+/// avalanche mix). Re-hashing such keys with SipHash is pure overhead on
 /// the search hot path, so maps keyed by them use the key bits directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PreMixedHasher(u64);
@@ -230,7 +230,7 @@ impl CacheStats {
 }
 
 /// A thread-safe memoization cache with hit-rate accounting, sharded into
-/// [`NUM_SHARDS`] independently locked segments selected by key bits.
+/// independently locked segments (16 by default) selected by key bits.
 ///
 /// # Example
 ///
@@ -238,10 +238,10 @@ impl CacheStats {
 /// use nshard_cost::PredictionCache;
 ///
 /// let cache = PredictionCache::new();
-/// let v1 = cache.get_or_insert_with(42, || 3.5);
-/// let v2 = cache.get_or_insert_with(42, || unreachable!("cached"));
-/// assert_eq!(v1, 3.5);
-/// assert_eq!(v2, 3.5);
+/// assert_eq!(cache.get_counted(42), None);
+/// cache.record_miss(42);
+/// cache.insert_if_absent(42, 3.5);
+/// assert_eq!(cache.get_counted(42), Some(3.5));
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(cache.misses(), 1);
 /// ```
@@ -294,23 +294,8 @@ impl PredictionCache {
         &self.shards[(key as usize) & (self.shards.len() - 1)]
     }
 
-    /// Looks up `key`, computing and inserting the value on a miss. The
-    /// closure runs under the shard lock, so two threads racing on the same
-    /// key produce exactly one miss and one hit.
-    pub fn get_or_insert_with(&self, key: u64, compute: impl FnOnce() -> f64) -> f64 {
-        let mut shard = self.shard(key).lock();
-        if let Some(&v) = shard.map.get(&key) {
-            shard.hits += 1;
-            return v;
-        }
-        shard.misses += 1;
-        let v = compute();
-        shard.map.insert(key, v);
-        v
-    }
-
     /// Returns the cached value for `key`, counting a hit if present. A
-    /// miss is *not* counted — batch callers pair this with
+    /// miss is *not* counted — callers pair this with
     /// [`PredictionCache::record_miss`] once they commit to computing.
     pub fn get_counted(&self, key: u64) -> Option<f64> {
         let mut shard = self.shard(key).lock();
@@ -518,13 +503,23 @@ mod tests {
         assert_eq!(key.key(), table_set_key(&[]));
     }
 
+    /// One serial lookup through the batch primitives: a hit returns the
+    /// cached value, a miss is counted and `value` inserted.
+    fn lookup(cache: &PredictionCache, key: u64, value: f64) -> f64 {
+        cache.get_counted(key).unwrap_or_else(|| {
+            cache.record_miss(key);
+            cache.insert_if_absent(key, value);
+            value
+        })
+    }
+
     #[test]
     fn cache_hits_and_misses_are_counted() {
         let cache = PredictionCache::new();
         assert_eq!(cache.hit_rate(), 0.0);
-        cache.get_or_insert_with(1, || 1.0);
-        cache.get_or_insert_with(1, || 2.0);
-        cache.get_or_insert_with(2, || 3.0);
+        lookup(&cache, 1, 1.0);
+        lookup(&cache, 1, 2.0);
+        lookup(&cache, 2, 3.0);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -534,8 +529,8 @@ mod tests {
     #[test]
     fn cached_value_wins() {
         let cache = PredictionCache::new();
-        cache.get_or_insert_with(9, || 5.0);
-        assert_eq!(cache.get_or_insert_with(9, || 99.0), 5.0);
+        lookup(&cache, 9, 5.0);
+        assert_eq!(lookup(&cache, 9, 99.0), 5.0);
     }
 
     #[test]
@@ -555,8 +550,8 @@ mod tests {
     #[test]
     fn clear_and_reset_stats() {
         let cache = PredictionCache::new();
-        cache.get_or_insert_with(1, || 1.0);
-        cache.get_or_insert_with(1, || 1.0);
+        lookup(&cache, 1, 1.0);
+        lookup(&cache, 1, 1.0);
         cache.reset_stats();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 1);
@@ -569,8 +564,8 @@ mod tests {
         let cache = PredictionCache::with_shards(4);
         // Keys 0..16 cover every shard index at least once.
         for k in 0..16u64 {
-            cache.get_or_insert_with(k, || k as f64);
-            cache.get_or_insert_with(k, || unreachable!());
+            lookup(&cache, k, k as f64);
+            assert_eq!(lookup(&cache, k, f64::NAN), k as f64);
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, 16);
@@ -642,9 +637,9 @@ mod tests {
 
     #[test]
     fn concurrent_hammer_keeps_stats_consistent() {
-        // Many threads, overlapping keys, mixed scalar/batch primitives:
-        // every lookup must be counted exactly once, so hits + misses
-        // equals the number of calls regardless of interleaving.
+        // Many threads, overlapping keys, mixed hit/miss primitives: every
+        // lookup must be counted exactly once, so hits + misses equals the
+        // number of calls regardless of interleaving.
         const THREADS: usize = 8;
         const OPS: u64 = 2_000;
         let cache = PredictionCache::new();
@@ -654,20 +649,11 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..OPS {
                         let key = avalanche((i % 64) ^ (t << 32));
-                        match i % 3 {
-                            0 => {
-                                let _ = cache.get_or_insert_with(key, || key as f64);
-                            }
-                            1 => match cache.get_counted(key) {
-                                Some(_) => {}
-                                None => {
-                                    cache.record_miss(key);
-                                    cache.insert_if_absent(key, key as f64);
-                                }
-                            },
-                            _ => {
-                                let _ = cache.get_or_insert_with(key, || key as f64);
-                            }
+                        if i % 3 == 2 {
+                            // An in-batch duplicate: counted, never stored.
+                            cache.record_hit(key);
+                        } else {
+                            lookup(cache, key, key as f64);
                         }
                     }
                 });

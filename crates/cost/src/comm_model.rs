@@ -138,22 +138,7 @@ impl CommCostModel {
     ///
     /// Panics if the slices do not match the model's device count.
     pub fn predict(&self, device_dims: &[f64], start_ts_ms: &[f64], batch_size: u32) -> f64 {
-        self.predict_with_mode(device_dims, start_ts_ms, batch_size, InferenceMode::F32)
-    }
-
-    /// [`CommCostModel::predict`] with an explicit [`InferenceMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not match the model's device count.
-    pub fn predict_with_mode(
-        &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        batch_size: u32,
-        mode: InferenceMode,
-    ) -> f64 {
-        self.predict_batch_with_mode(&[(device_dims, start_ts_ms)], batch_size, mode)[0]
+        self.predict_batch(&[(device_dims, start_ts_ms)], batch_size)[0]
     }
 
     /// Predicts many placements with a single multi-row forward pass.
@@ -382,7 +367,8 @@ mod tests {
         let dims = [700.0, 100.0, 100.0, 100.0];
         let starts = [1.0, 0.5, 0.0, 2.0];
         let f32_cost = model.predict(&dims, &starts, 65_536);
-        let int8_cost = model.predict_with_mode(&dims, &starts, 65_536, InferenceMode::Int8);
+        let placement: (&[f64], &[f64]) = (&dims, &starts);
+        let int8_cost = model.predict_batch_with_mode(&[placement], 65_536, InferenceMode::Int8)[0];
         assert!(int8_cost.is_finite());
         let denom = f32_cost.abs().max(1e-3);
         assert!(

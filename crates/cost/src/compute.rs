@@ -180,12 +180,7 @@ impl ComputeCostModel {
     /// An empty combination predicts the head's response to a zero sum
     /// (≈ the kernel launch overhead once trained).
     pub fn predict(&self, tables: &[Vec<f32>]) -> f64 {
-        self.predict_with_mode(tables, InferenceMode::F32)
-    }
-
-    /// [`ComputeCostModel::predict`] on an explicit numeric path.
-    pub fn predict_with_mode(&self, tables: &[Vec<f32>], mode: InferenceMode) -> f64 {
-        self.predict_batch_with_mode(&[tables], mode)[0]
+        self.predict_batch(&[tables])[0]
     }
 
     /// Predicts the fused-kernel cost of many table combinations with two
@@ -545,7 +540,7 @@ mod tests {
                     }
                 }
                 let via_parts = model.head_costs_with_mode(&pooled, mode)[0];
-                let direct = model.predict_with_mode(&s.tables, mode);
+                let direct = model.predict_batch_with_mode(&[&s.tables], mode)[0];
                 assert_eq!(
                     via_parts.to_bits(),
                     direct.to_bits(),

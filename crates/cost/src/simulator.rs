@@ -11,7 +11,7 @@ use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
-use nshard_data::TablePool;
+use nshard_data::{ShardingTask, TablePool};
 use nshard_nn::Matrix;
 use nshard_sim::{CommParams, GpuSpec, KernelParams, TableProfile};
 
@@ -88,14 +88,32 @@ impl DeviceScales {
         Self { compute, bandwidth }
     }
 
-    /// Lowers a [`nshard_sim::DevicePool`] to inference scales. Returns
-    /// `None` for a pool with baseline compute and a flat network — the
-    /// caller should then use the unscaled (bit-exact legacy) path.
-    pub fn from_pool(pool: &nshard_sim::DevicePool) -> Option<Self> {
-        if pool.has_uniform_compute() && pool.has_uniform_bandwidth() {
-            return None;
-        }
-        Some(Self::new(pool.compute_scales(), pool.bw_scales()))
+    /// Baseline scales for `n` identical devices on a flat network: every
+    /// scale is exactly `1.0`, and `x * 1.0` and `x / 1.0` are IEEE
+    /// identities, so uniform pricing is bit-identical to unscaled pricing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n == 0`.
+    pub fn uniform(n: usize) -> Self {
+        Self::new(vec![1.0; n], vec![1.0; n])
+    }
+
+    /// Lowers a [`nshard_sim::DevicePool`] to inference scales. A pool
+    /// with baseline compute and a flat network lowers to exact `1.0`s.
+    pub fn from_pool(pool: &nshard_sim::DevicePool) -> Self {
+        Self::new(pool.compute_scales(), pool.bw_scales())
+    }
+
+    /// The scales a task is priced on: its device pool's, or
+    /// [`DeviceScales::uniform`] when it carries none.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the task has no devices.
+    pub fn of_task(task: &ShardingTask) -> Self {
+        task.device_pool()
+            .map_or_else(|| Self::uniform(task.num_devices()), Self::from_pool)
     }
 
     /// Number of devices covered.
@@ -379,7 +397,6 @@ pub struct CostSimulator {
     /// the cost cache, per-simulator so numeric modes never mix.
     encodings: EncodingCache,
     cache_enabled: bool,
-    batch_enabled: bool,
     inference_mode: InferenceMode,
 }
 
@@ -408,7 +425,6 @@ impl CostSimulator {
             cache: PredictionCache::new(),
             encodings: EncodingCache::new(),
             cache_enabled: true,
-            batch_enabled: true,
             inference_mode: InferenceMode::F32,
         }
     }
@@ -438,19 +454,6 @@ impl CostSimulator {
         self.inference_mode
     }
 
-    /// Disables batched inference: every batch API falls back to one
-    /// single-row model forward per query (the pre-batching engine, kept
-    /// as a benchmark baseline). Results are bit-identical either way.
-    pub fn with_batching_disabled(mut self) -> Self {
-        self.batch_enabled = false;
-        self
-    }
-
-    /// Whether batched inference is enabled.
-    pub fn batching_enabled(&self) -> bool {
-        self.batch_enabled
-    }
-
     /// The underlying bundle.
     pub fn bundle(&self) -> &CostModelBundle {
         &self.bundle
@@ -459,13 +462,6 @@ impl CostSimulator {
     /// The prediction cache (for hit-rate reporting).
     pub fn cache(&self) -> &PredictionCache {
         &self.cache
-    }
-
-    fn features(&self, tables: &[TableProfile]) -> Vec<Vec<f32>> {
-        tables
-            .iter()
-            .map(|t| table_features(t, self.bundle.batch_size))
-            .collect()
     }
 
     /// Feature rows of `tables` with `extra`'s row appended (the greedy
@@ -480,24 +476,6 @@ impl CostSimulator {
             .chain(extra)
             .map(|t| table_features(t, self.bundle.batch_size))
             .collect()
-    }
-
-    /// Runs the compute model over many feature sets, batched or one by
-    /// one depending on the ablation toggle. Identical bits either way.
-    fn predict_compute_sets(&self, sets: &[Vec<Vec<f32>>]) -> Vec<f64> {
-        if self.batch_enabled {
-            self.bundle
-                .compute
-                .predict_batch_with_mode(sets, self.inference_mode)
-        } else {
-            sets.iter()
-                .map(|s| {
-                    self.bundle
-                        .compute
-                        .predict_with_mode(s, self.inference_mode)
-                })
-                .collect()
-        }
     }
 
     /// Resolves many keyed compute-cost queries against the cache, running
@@ -525,7 +503,10 @@ impl CostSimulator {
             let feats: Vec<Vec<Vec<f32>>> = (0..n)
                 .map(|i| self.features_with_extra(set_of(i), extra))
                 .collect();
-            return self.predict_compute_sets(&feats);
+            return self
+                .bundle
+                .compute
+                .predict_batch_with_mode(&feats, self.inference_mode);
         }
         SIM_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
@@ -548,22 +529,13 @@ impl CostSimulator {
                 }
             }
             if !s.miss_items.is_empty() {
-                let preds = if self.batch_enabled {
-                    self.predict_misses_via_encodings(
-                        &s.miss_items,
-                        &set_of,
-                        extra,
-                        &mut s.pooled,
-                        &mut s.table_keys,
-                    )
-                } else {
-                    let feats: Vec<Vec<Vec<f32>>> = s
-                        .miss_items
-                        .iter()
-                        .map(|&i| self.features_with_extra(set_of(i), extra))
-                        .collect();
-                    self.predict_compute_sets(&feats)
-                };
+                let preds = self.predict_misses_via_encodings(
+                    &s.miss_items,
+                    &set_of,
+                    extra,
+                    &mut s.pooled,
+                    &mut s.table_keys,
+                );
                 for (slot, &i) in s.miss_items.iter().enumerate() {
                     self.cache.insert_if_absent(keys[i], preds[slot]);
                     out[i] = preds[slot];
@@ -633,28 +605,9 @@ impl CostSimulator {
     }
 
     /// Predicted fused-kernel cost (fwd+bwd, ms) of one device's table set,
-    /// memoized in the life-long cache.
+    /// memoized in the life-long cache — a batch of one.
     pub fn device_compute_cost(&self, tables: &[TableProfile]) -> f64 {
-        self.device_compute_cost_keyed(TableSetKey::of(tables), tables)
-    }
-
-    /// Like [`CostSimulator::device_compute_cost`] for callers that
-    /// maintain the set key incrementally (skips the O(n) rehash).
-    ///
-    /// `key` must fingerprint exactly the multiset in `tables`.
-    pub fn device_compute_cost_keyed(&self, key: TableSetKey, tables: &[TableProfile]) -> f64 {
-        let predict = || {
-            self.bundle
-                .compute
-                .predict_with_mode(&self.features(tables), self.inference_mode)
-        };
-        if self.cache_enabled {
-            self.cache.get_or_insert_with(key.key(), predict)
-        } else {
-            // Still count lookups so ablation hit rates read 0%.
-            self.cache.count_miss();
-            predict()
-        }
+        self.device_compute_cost_batch(&[(TableSetKey::of(tables), tables)])[0]
     }
 
     /// Predicted costs of many device table sets, resolved with one
@@ -665,24 +618,12 @@ impl CostSimulator {
         self.cached_compute_batch(&keys, |i| sets[i].1, None)
     }
 
-    /// Predicted costs of `extra` appended to each base set — the greedy
-    /// allocator's probe pattern ("what if this table joined device g?")
-    /// — scored with one batched forward over the cache misses and O(1)
-    /// key updates.
-    pub fn appended_compute_cost_batch(
-        &self,
-        bases: &[(TableSetKey, &[TableProfile])],
-        extra: &TableProfile,
-    ) -> Vec<f64> {
-        let keys: Vec<u64> = bases.iter().map(|(k, _)| k.with(extra).key()).collect();
-        self.cached_compute_batch(&keys, |i| bases[i].1, Some(extra))
-    }
-
-    /// [`CostSimulator::appended_compute_cost_batch`] for callers that
-    /// keep per-device sets and keys in parallel arrays: candidate device
-    /// `candidates[j]`'s probe cost lands in slot `j` of the result, and
-    /// the device sets are read straight out of `device_sets` — no
-    /// per-probe view building.
+    /// Predicted costs of `extra` appended to candidate devices' sets —
+    /// the greedy allocator's probe pattern ("what if this table joined
+    /// device g?") — scored with one batched forward over the cache misses
+    /// and O(1) key updates. Candidate device `candidates[j]`'s probe cost
+    /// lands in slot `j` of the result, and the device sets are read
+    /// straight out of `device_sets` — no per-probe view building.
     pub fn appended_compute_cost_indexed(
         &self,
         device_sets: &[Vec<TableProfile>],
@@ -705,15 +646,10 @@ impl CostSimulator {
         )
     }
 
-    /// Predicted cost (fwd+bwd, ms) of a single table alone on a device —
-    /// used by the search to rank candidate tables.
-    pub fn single_table_cost(&self, table: &TableProfile) -> f64 {
-        self.device_compute_cost(std::slice::from_ref(table))
-    }
-
-    /// [`CostSimulator::single_table_cost`] for many tables at once — one
-    /// batched forward over the misses, each result memoized under the
-    /// table's singleton set key.
+    /// Predicted costs (fwd+bwd, ms) of each table alone on a device —
+    /// used by the search to rank candidate tables. One batched forward
+    /// over the misses, each result memoized under the table's singleton
+    /// set key.
     pub fn single_table_cost_batch(&self, tables: &[TableProfile]) -> Vec<f64> {
         let keys: Vec<u64> = tables
             .iter()
@@ -723,50 +659,37 @@ impl CostSimulator {
     }
 
     /// Estimates the full embedding cost of a plan (Equation 1's
-    /// `f(c, t)`): predicted per-device computation, plus predicted max
-    /// forward/backward communication with start skews derived from the
-    /// computation estimates.
+    /// `f(c, t)`) on a uniform fleet: predicted per-device computation,
+    /// plus predicted max forward/backward communication with start skews
+    /// derived from the computation estimates.
     ///
     /// # Panics
     ///
     /// Panics if `assignment.len()` differs from the bundle's device count.
     pub fn estimate_plan(&self, assignment: &[Vec<TableProfile>]) -> EstimatedCost {
-        self.estimate_plan_batch(std::slice::from_ref(&assignment))
+        let scales = DeviceScales::uniform(self.bundle.num_devices);
+        self.estimate_plan_batch(std::slice::from_ref(&assignment), &scales)
             .pop()
             .expect("one assignment in, one estimate out")
     }
 
-    /// Estimates many plans at once: one batched (cached) compute call
-    /// over every device set of every plan, then one batched forward per
-    /// communication model. Each estimate is bit-identical to
-    /// [`CostSimulator::estimate_plan`] on that plan alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment's device count differs from the bundle's.
-    pub fn estimate_plan_batch<A: AsRef<[Vec<TableProfile>]>>(
-        &self,
-        assignments: &[A],
-    ) -> Vec<EstimatedCost> {
-        self.estimate_plan_batch_scaled(assignments, None)
-    }
-
-    /// Like [`CostSimulator::estimate_plan_batch`], with optional
-    /// per-device heterogeneity scales (see [`DeviceScales`]): raw model
+    /// Estimates many plans at once on the devices `scales` describes:
+    /// one batched (cached) compute call over every device set of every
+    /// plan, then one batched forward per communication model. Raw model
     /// predictions — and the cache holding them — are always baseline;
     /// compute predictions are multiplied by each device's compute class
     /// and communication dimensions divided by each device's effective
-    /// bandwidth *after* retrieval. `None` is bit-identical to the
-    /// unscaled API.
+    /// bandwidth *after* retrieval. Each estimate is bit-identical to
+    /// estimating that plan alone.
     ///
     /// # Panics
     ///
     /// Panics if any assignment's device count differs from the bundle's,
     /// or if `scales` covers a different number of devices.
-    pub fn estimate_plan_batch_scaled<A: AsRef<[Vec<TableProfile>]>>(
+    pub fn estimate_plan_batch<A: AsRef<[Vec<TableProfile>]>>(
         &self,
         assignments: &[A],
-        scales: Option<&DeviceScales>,
+        scales: &DeviceScales,
     ) -> Vec<EstimatedCost> {
         let d = self.bundle.num_devices;
         for a in assignments {
@@ -776,9 +699,7 @@ impl CostSimulator {
                 "plan device count does not match the bundle"
             );
         }
-        if let Some(s) = scales {
-            assert_eq!(s.len(), d, "device scales do not match the bundle");
-        }
+        assert_eq!(scales.len(), d, "device scales do not match the bundle");
         // One batched compute call over all device sets of all plans. The
         // cache stores RAW (baseline-hardware) predictions; heterogeneity
         // is applied on the way out so cached entries stay fleet-agnostic.
@@ -788,10 +709,8 @@ impl CostSimulator {
             .collect();
         let keys: Vec<u64> = flat.iter().map(|s| table_set_key(s)).collect();
         let mut compute_flat = self.cached_compute_batch(&keys, |i| flat[i], None);
-        if let Some(s) = scales {
-            for (i, c) in compute_flat.iter_mut().enumerate() {
-                *c *= s.compute_scale(i % d);
-            }
+        for (i, c) in compute_flat.iter_mut().enumerate() {
+            *c *= scales.compute_scale(i % d);
         }
 
         let mut dims_all: Vec<Vec<f64>> = Vec::with_capacity(assignments.len());
@@ -807,10 +726,7 @@ impl CostSimulator {
                         // the dimension; a slow link inflates the effective
                         // dimension proportionally.
                         let dim: f64 = tables.iter().map(TableProfile::comm_dim).sum();
-                        match scales {
-                            Some(s) => dim / s.bandwidth_scale(g),
-                            None => dim,
-                        }
+                        dim / scales.bandwidth_scale(g)
                     })
                     .collect(),
             );
@@ -827,8 +743,16 @@ impl CostSimulator {
             .iter()
             .map(|dims| (dims.as_slice(), bwd_starts.as_slice()))
             .collect();
-        let fwd = self.predict_comm(&self.bundle.comm_fwd, &fwd_placements);
-        let bwd = self.predict_comm(&self.bundle.comm_bwd, &bwd_placements);
+        let fwd = self.bundle.comm_fwd.predict_batch_with_mode(
+            &fwd_placements,
+            self.bundle.batch_size,
+            self.inference_mode,
+        );
+        let bwd = self.bundle.comm_bwd.predict_batch_with_mode(
+            &bwd_placements,
+            self.bundle.batch_size,
+            self.inference_mode,
+        );
 
         (0..assignments.len())
             .map(|pi| {
@@ -843,32 +767,12 @@ impl CostSimulator {
             })
             .collect()
     }
-
-    /// Runs one comm model over many placements, batched or row by row
-    /// depending on the ablation toggle. Identical bits either way.
-    fn predict_comm(&self, model: &CommCostModel, placements: &[(&[f64], &[f64])]) -> Vec<f64> {
-        if self.batch_enabled {
-            model.predict_batch_with_mode(placements, self.bundle.batch_size, self.inference_mode)
-        } else {
-            placements
-                .iter()
-                .map(|(dims, starts)| {
-                    model.predict_with_mode(
-                        dims,
-                        starts,
-                        self.bundle.batch_size,
-                        self.inference_mode,
-                    )
-                })
-                .collect()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nshard_data::TablePool;
+    use nshard_data::{ShardingTask, TablePool};
 
     fn quick_bundle(d: usize) -> CostModelBundle {
         let pool = TablePool::synthetic_dlrm(40, 1);
@@ -919,22 +823,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_apis_match_scalar_apis_bit_for_bit() {
+    fn batch_apis_match_model_reference_bit_for_bit() {
         let bundle = quick_bundle(2);
-        let batched = CostSimulator::new(bundle.clone());
-        let rowwise = CostSimulator::new(bundle).with_batching_disabled();
-        assert!(batched.batching_enabled());
-        assert!(!rowwise.batching_enabled());
+        let sim = CostSimulator::new(bundle.clone());
+        let batch = bundle.batch_size();
+        let feats = |set: &[TableProfile]| -> Vec<Vec<f32>> {
+            set.iter().map(|t| table_features(t, batch)).collect()
+        };
+        let reference = |set: &[TableProfile]| bundle.compute_model().predict(&feats(set));
 
         let tables = [t(64), t(32), t(16), t(8)];
-        // single_table_cost_batch vs single_table_cost.
-        let singles = batched.single_table_cost_batch(&tables);
+        let singles = sim.single_table_cost_batch(&tables);
         for (tab, &b) in tables.iter().zip(&singles) {
-            assert_eq!(rowwise.single_table_cost(tab).to_bits(), b.to_bits());
+            assert_eq!(reference(std::slice::from_ref(tab)).to_bits(), b.to_bits());
         }
 
-        // device_compute_cost_batch vs device_compute_cost, including an
-        // in-batch duplicate and the empty set.
+        // device_compute_cost_batch, including an in-batch duplicate and
+        // the empty set.
         let sets: Vec<Vec<TableProfile>> = vec![
             vec![t(64), t(32)],
             vec![t(16)],
@@ -945,49 +850,49 @@ mod tests {
             .iter()
             .map(|s| (TableSetKey::of(s), s.as_slice()))
             .collect();
-        let costs = batched.device_compute_cost_batch(&keyed);
+        let costs = sim.device_compute_cost_batch(&keyed);
         for (s, &c) in sets.iter().zip(&costs) {
-            assert_eq!(rowwise.device_compute_cost(s).to_bits(), c.to_bits());
+            assert_eq!(reference(s).to_bits(), c.to_bits());
+            assert_eq!(sim.device_compute_cost(s).to_bits(), c.to_bits());
         }
 
-        // appended probe vs push-predict-pop.
+        // The greedy probe: `extra` appended to every candidate device.
         let extra = t(128);
-        let appended = batched.appended_compute_cost_batch(&keyed, &extra);
+        let set_keys: Vec<TableSetKey> = keyed.iter().map(|(k, _)| *k).collect();
+        let candidates: Vec<usize> = (0..sets.len()).collect();
+        let appended = sim.appended_compute_cost_indexed(
+            &sets,
+            &set_keys,
+            &candidates,
+            &extra,
+            &mut Vec::new(),
+        );
         for (s, &c) in sets.iter().zip(&appended) {
             let mut probed = s.clone();
             probed.push(extra);
-            assert_eq!(rowwise.device_compute_cost(&probed).to_bits(), c.to_bits());
+            assert_eq!(reference(&probed).to_bits(), c.to_bits());
         }
 
-        // estimate_plan_batch vs estimate_plan.
+        // Whole plans: compute, forward and backward comm bits.
         let plans = vec![
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let ests = batched.estimate_plan_batch(&plans);
+        let ests = sim.estimate_plan_batch(&plans, &DeviceScales::uniform(2));
         for (plan, est) in plans.iter().zip(&ests) {
-            let scalar = rowwise.estimate_plan(plan);
-            assert_eq!(scalar.total_ms().to_bits(), est.total_ms().to_bits());
-            assert_eq!(scalar.compute_per_device, est.compute_per_device);
-        }
-    }
-
-    #[test]
-    fn unit_scales_are_bit_identical_to_unscaled() {
-        let sim = CostSimulator::new(quick_bundle(2));
-        let plans = vec![
-            vec![vec![t(64), t(32)], vec![t(16)]],
-            vec![vec![t(8)], vec![t(64), t(8)]],
-        ];
-        let plain = sim.estimate_plan_batch(&plans);
-        // Even explicit all-1.0 scales must not perturb a single bit:
-        // x * 1.0 and x / 1.0 are exact for finite f64.
-        let unit = DeviceScales::new(vec![1.0; 2], vec![1.0; 2]);
-        let scaled = sim.estimate_plan_batch_scaled(&plans, Some(&unit));
-        for (p, s) in plain.iter().zip(&scaled) {
-            assert_eq!(p.total_ms().to_bits(), s.total_ms().to_bits());
-            assert_eq!(p.compute_per_device, s.compute_per_device);
-            assert_eq!(p.fwd_comm_ms.to_bits(), s.fwd_comm_ms.to_bits());
+            let compute: Vec<f64> = plan.iter().map(|s| reference(s)).collect();
+            let dims: Vec<f64> = plan
+                .iter()
+                .map(|s| s.iter().map(TableProfile::comm_dim).sum())
+                .collect();
+            let starts: Vec<f64> = compute.iter().map(|c| c * FWD_FRACTION).collect();
+            let fwd = bundle.comm_fwd_model().predict(&dims, &starts, batch);
+            let bwd = bundle.comm_bwd_model().predict(&dims, &[0.0; 2], batch);
+            assert_eq!(est.compute_per_device, compute);
+            assert_eq!(est.fwd_comm_ms.to_bits(), fwd.max(0.0).to_bits());
+            assert_eq!(est.bwd_comm_ms.to_bits(), bwd.max(0.0).to_bits());
+            let alone = sim.estimate_plan(plan);
+            assert_eq!(alone.total_ms().to_bits(), est.total_ms().to_bits());
         }
     }
 
@@ -998,7 +903,7 @@ mod tests {
         let plain = sim.estimate_plan(&plan);
         let scales = DeviceScales::new(vec![1.0, 3.0], vec![1.0, 1.0]);
         let scaled = sim
-            .estimate_plan_batch_scaled(&[&plan[..]], Some(&scales))
+            .estimate_plan_batch(&[&plan[..]], &scales)
             .pop()
             .unwrap();
         assert_eq!(
@@ -1019,7 +924,7 @@ mod tests {
         let plain = sim.estimate_plan(&plan);
         let scales = DeviceScales::new(vec![1.0, 1.0], vec![1.0, 0.25]);
         let scaled = sim
-            .estimate_plan_batch_scaled(&[&plan[..]], Some(&scales))
+            .estimate_plan_batch(&[&plan[..]], &scales)
             .pop()
             .unwrap();
         assert!(scaled.fwd_comm_ms > plain.fwd_comm_ms);
@@ -1036,6 +941,21 @@ mod tests {
         let a = sim.estimate_plan(&plan_full);
         let b = sim.estimate_plan(&plan_repl);
         assert!(b.fwd_comm_ms < a.fwd_comm_ms);
+    }
+
+    #[test]
+    fn tasks_lower_to_pool_or_uniform_scales() {
+        let pool = TablePool::synthetic_dlrm(8, 1);
+        let task = ShardingTask::sample(&pool, 2, 2..=4, 64, 1);
+        assert_eq!(DeviceScales::of_task(&task), DeviceScales::uniform(2));
+        let flat = task
+            .clone()
+            .with_devices(nshard_sim::DevicePool::uniform(2, 1 << 30));
+        assert_eq!(DeviceScales::of_task(&flat), DeviceScales::uniform(2));
+        let tiered = nshard_sim::DevicePool::two_tier(1, 1 << 30, 1, 1 << 29, 1.5, 0.25);
+        let scales = DeviceScales::of_task(&task.with_devices(tiered.clone()));
+        assert_eq!(scales, DeviceScales::from_pool(&tiered));
+        assert_eq!(scales.compute_scale(1), 1.5);
     }
 
     #[test]

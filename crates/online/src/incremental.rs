@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use nshard_core::{
     migration_bytes, NeuroShardConfig, PlanError, ShardingPlan, SplitKind, WorkPool,
 };
-use nshard_cost::{CostSimulator, EstimatedCost};
+use nshard_cost::{CostSimulator, DeviceScales, EstimatedCost};
 use nshard_data::ShardingTask;
 
 /// Bytes per gigabyte, for the λ migration term.
@@ -280,6 +280,7 @@ impl IncrementalPlanner {
         let pool = WorkPool::new(self.config.threads);
         let budget = task.mem_budget_bytes();
         let batch = task.batch_size();
+        let uniform = DeviceScales::uniform(sim.bundle().num_devices());
 
         let mut current = base.clone();
         let mut current_est = sim.estimate_plan(&current.device_profiles(batch));
@@ -316,7 +317,7 @@ impl IncrementalPlanner {
                 .map(|(_, p)| p.device_profiles(batch))
                 .collect();
             // All scoring in one serial batched call — deterministic.
-            let estimates = sim.estimate_plan_batch(&profiles);
+            let estimates = sim.estimate_plan_batch(&profiles, &uniform);
             evaluated += estimates.len();
 
             // First strict improvement in candidate order wins ties.

@@ -195,8 +195,9 @@ impl CommParams {
             .collect()
     }
 
-    /// Per-GPU forward all-to-all latency on a two-tier network (see
-    /// [`CommParams::costs_ms_tiered`] for the law).
+    /// Per-GPU forward all-to-all latency on a two-tier network: each
+    /// device's transfer runs at its own bandwidth scale, and the
+    /// straggler term is gated by the slowest transfer.
     ///
     /// # Panics
     ///

@@ -244,27 +244,11 @@ impl DevicePool {
         self.devices.iter().map(|d| d.mem_budget_bytes).collect()
     }
 
-    /// Whether every device has baseline compute speed.
-    pub fn has_uniform_compute(&self) -> bool {
-        self.devices.iter().all(|d| d.compute_scale == 1.0)
-    }
-
     /// Whether the network is effectively flat (single node, or full
     /// inter-node bandwidth).
     pub fn has_uniform_bandwidth(&self) -> bool {
         self.inter_node_bw_scale == 1.0
             || self.devices.iter().all(|d| d.node == self.devices[0].node)
-    }
-
-    /// Whether the fleet behaves exactly like a uniform cluster: equal
-    /// budgets, baseline compute, flat network. Uniform pools take the
-    /// homogeneous (bit-exact legacy) code paths everywhere.
-    pub fn is_uniform(&self) -> bool {
-        self.devices
-            .iter()
-            .all(|d| d.mem_budget_bytes == self.devices[0].mem_budget_bytes)
-            && self.has_uniform_compute()
-            && self.has_uniform_bandwidth()
     }
 }
 
@@ -273,9 +257,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_pool_is_uniform() {
+    fn uniform_pool_has_baseline_scales() {
         let pool = DevicePool::uniform(4, 1 << 30);
-        assert!(pool.is_uniform());
+        assert!(pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.budget_of(3), 1 << 30);
         assert_eq!(pool.total_budget(), 4 << 30);
@@ -288,7 +272,7 @@ mod tests {
     #[test]
     fn two_tier_pool_is_heterogeneous() {
         let pool = DevicePool::two_tier(2, 4 << 30, 2, 1 << 30, 1.5, 0.25);
-        assert!(!pool.is_uniform());
+        assert!(!pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.budget_of(0), 4 << 30);
         assert_eq!(pool.budget_of(2), 1 << 30);
@@ -311,7 +295,7 @@ mod tests {
             assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
         }
         assert!(pool.has_uniform_bandwidth());
-        assert!(pool.is_uniform());
+        assert_eq!(pool.compute_scales(), vec![1.0; 4]);
     }
 
     #[test]
@@ -321,7 +305,7 @@ mod tests {
             .collect();
         let pool = DevicePool::new(devices, 0.1);
         assert!(pool.has_uniform_bandwidth());
-        assert!(!pool.has_uniform_compute());
+        assert_eq!(pool.compute_scales(), vec![2.0; 3]);
         for g in 0..3 {
             assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
         }

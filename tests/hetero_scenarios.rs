@@ -3,7 +3,7 @@
 //! Sweeps the full cross product
 //!
 //! ```text
-//! {uniform, heterogeneous fleet} × {no-skew, Zipf-skew workload}
+//! {uniform, uniform pool, heterogeneous fleet} × {no-skew, Zipf-skew}
 //!                                × {column-wise, row-wise, replicated}
 //! ```
 //!
@@ -13,6 +13,8 @@
 //!   respected, not just the aggregate),
 //! * plans and costs are **bit-identical** across worker-thread counts
 //!   {1, 2, 8} (CI re-runs this suite under `NSHARD_THREADS=8`),
+//! * an explicit uniform [`DevicePool`] prices **bit-identically** to the
+//!   pool-less task, at every thread count,
 //! * on the skewed cells, the richer shard shapes (row-wise, replicated)
 //!   are **never worse** than the column-wise-only baseline.
 
@@ -27,6 +29,8 @@ const THREADS: [usize; 3] = [1, 2, 8];
 enum Fleet {
     /// Flat scalar budget, flat network — the paper's benchmark cluster.
     Uniform,
+    /// The same cluster described explicitly by [`DevicePool::uniform`].
+    UniformPool,
     /// Two fast/large devices and two slow/small ones across two nodes,
     /// with a 4× intra/inter bandwidth gap.
     Heterogeneous,
@@ -50,7 +54,7 @@ enum Shape {
     Replicated,
 }
 
-const FLEETS: [Fleet; 2] = [Fleet::Uniform, Fleet::Heterogeneous];
+const FLEETS: [Fleet; 3] = [Fleet::Uniform, Fleet::UniformPool, Fleet::Heterogeneous];
 const WORKLOADS: [Workload; 2] = [Workload::NoSkew, Workload::ZipfSkew];
 const SHAPES: [Shape; 3] = [Shape::Column, Shape::RowWise, Shape::Replicated];
 
@@ -72,6 +76,7 @@ fn task(fleet: Fleet, workload: Workload) -> ShardingTask {
     let t = ShardingTask::new(tables(workload), DEVICES, 192 << 20, 4096);
     match fleet {
         Fleet::Uniform => t,
+        Fleet::UniformPool => t.with_devices(DevicePool::uniform(DEVICES, 192 << 20)),
         Fleet::Heterogeneous => {
             t.with_devices(DevicePool::two_tier(2, 192 << 20, 2, 96 << 20, 1.5, 0.25))
         }
@@ -160,6 +165,28 @@ fn every_cell_is_bit_identical_across_thread_counts() {
                          {threads} threads"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn uniform_pool_cells_are_bit_identical_to_pool_less_cells() {
+    let bundle = bundle();
+    for workload in WORKLOADS {
+        for shape in SHAPES {
+            for threads in THREADS {
+                let plain = shard_cell(&bundle, Fleet::Uniform, workload, shape, threads);
+                let pooled = shard_cell(&bundle, Fleet::UniformPool, workload, shape, threads);
+                assert_eq!(
+                    plain.plan, pooled.plan,
+                    "({workload:?}, {shape:?}): uniform-pool plan differs at {threads} threads"
+                );
+                assert_eq!(
+                    plain.estimated_cost_ms.to_bits(),
+                    pooled.estimated_cost_ms.to_bits(),
+                    "({workload:?}, {shape:?}): uniform-pool cost differs at {threads} threads"
+                );
             }
         }
     }
